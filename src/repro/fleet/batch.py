@@ -57,7 +57,6 @@ The fusion rules that make this hold:
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 import numpy as np
@@ -367,12 +366,11 @@ class ShardBatchDispatcher:
         cols.offline_reads[d] = sum(
             len(entries) for entries in self.devices[d]._offline_reads.values()
         )
-        nexp = math.inf
-        for queue in (st.outgoing, st.prefetch, st.holding):
-            heap = queue._expiry
-            if heap and heap[0][0] < nexp:
-                nexp = heap[0][0]
-        cols.next_expiry[d] = nexp
+        cols.next_expiry[d] = min(
+            st.outgoing.next_expiry(),
+            st.prefetch.next_expiry(),
+            st.holding.next_expiry(),
+        )
         dirty = (
             not self.fused_shard
             or self.has_plan[d]
@@ -391,7 +389,7 @@ class ShardBatchDispatcher:
         until: float, limit: int,
     ) -> int:
         sim = self.sim
-        heap = sim._heap
+        next_key = sim.next_key
         times = self.m_times
         m_codes = self.m_codes
         m_devs = self.m_devs
@@ -582,8 +580,5 @@ class ShardBatchDispatcher:
             i += 1
             if sim._seq_next != seq_mark:
                 seq_mark = sim._seq_next
-                if heap:
-                    top = heap[0]
-                    cap_time = top.time
-                    cap_seq = top.seq
+                cap_time, cap_seq = next_key()
         return i - pos

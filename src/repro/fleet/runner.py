@@ -249,19 +249,17 @@ def _execute_shard_inner(
 
     # Final-queue sweep, one per binding: equivalent to
     # ``topic_state(t).queued_event_count()`` / ``device.queue_size(t)``
-    # but reading the ranked queues' membership dicts directly — at 10k+
-    # bindings the method hops are a measurable slice of the fold.
+    # but reading the ranked queues directly — at 10k+ bindings the
+    # method hops are a measurable slice of the fold.
     states_map = proxy._states
     acc.add_shard(
         stats_list,
         [
-            len(st.outgoing._items)
-            + len(st.prefetch._items)
-            + len(st.holding._items)
+            len(st.outgoing) + len(st.prefetch) + len(st.holding)
             for st in (states_map[topic] for topic in topics)
         ],
         [
-            len(device._queues[topic]._items)
+            len(device._queues[topic])
             for device, topic in zip(devices, topics)
         ],
     )
@@ -287,14 +285,7 @@ def _dismantle_shard(
     the *next* shard (or benchmark round). Everything the caller needs
     has been folded into the accumulator by now.
     """
-    for event in sim._heap:
-        stream = event.stream
-        if stream is not None:
-            # Streams the duration cap left unexhausted still hold the
-            # cursor <-> stream cycle the engine breaks at exhaustion.
-            stream.entry = None
-            event.stream = None
-    sim._heap.clear()
+    sim.clear()
     for link in links:
         link._listeners.clear()
         link._device = None

@@ -3,8 +3,8 @@
 The paper's pseudo-code deliberately omits "'garbage collection' that
 would have to operate in the background as certain queues (e.g.
 topic.history) grow without bounds". This module supplies it: a periodic
-sweep that compacts lazy-deletion heaps, drains cancelled engine timers,
-and prunes history entries past a horizon.
+sweep that drains cancelled engine timers and prunes history entries
+past a horizon.
 """
 
 from __future__ import annotations

@@ -1051,11 +1051,6 @@ class LastHopProxy:
                 # Same contract as the whole-proxy check, per binding.
                 continue
             retracted = state.retracted
-            for queue in (state.outgoing, state.prefetch, state.holding):
-                # Queues self-compact on mutation past the same threshold
-                # (RankedQueue.compact_if_stale); this sweep only mops up
-                # queues that went idle right after heavy churn.
-                reclaimed += queue.compact_if_stale()
             if history_horizon is not None:
                 cutoff = now - history_horizon
                 doomed = [

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro._compat import DATACLASS_SLOTS
@@ -45,19 +45,26 @@ BatchPump = Callable[[int, int, float, int, float, int], int]
 _NO_LIMIT = sys.maxsize
 
 
-@dataclass(order=True, **DATACLASS_SLOTS)
+@dataclass(**DATACLASS_SLOTS)
 class _ScheduledEvent:
-    """Internal heap entry. Ordered by (time, seq) for determinism."""
+    """Internal event payload; the heap orders it by a ``(time, seq,
+    event)`` tuple, so comparisons run in C and never reach the event
+    (``seq`` is unique)."""
 
+    #: Fire time of a dynamic timer. Stream cursors carry the time of
+    #: their current item in the heap tuple only.
     time: float
-    seq: int
-    callback: Callback = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callback
+    args: tuple = ()
+    cancelled: bool = False
     #: Owning static stream for lazily merged entries; None for dynamic
     #: timers. Stream cursor entries are reused across the stream's
     #: items, so they are never exposed through an :class:`EventHandle`.
-    stream: Optional["_StaticStream"] = field(compare=False, default=None)
+    stream: Optional["_StaticStream"] = None
+
+
+#: One engine heap entry: ``(time, seq, event)``.
+HeapEntry = Tuple[float, int, _ScheduledEvent]
 
 
 class _StaticStream:
@@ -66,7 +73,8 @@ class _StaticStream:
     ``base`` is the first of the contiguous sequence numbers reserved
     for the stream; item ``i`` fires with seq ``base + i``. A single
     mutable :class:`_ScheduledEvent` (``entry``) is reused as the heap
-    cursor for every item, which keeps lazy merging allocation-free.
+    cursor's payload for every item, so re-arming allocates only the
+    ``(time, seq, entry)`` heap tuple.
     """
 
     __slots__ = ("items", "pos", "base", "entry")
@@ -98,8 +106,8 @@ class _BatchStream:
     bound. The fleet dispatcher uses this to amortize per-event dispatch
     across thousands of devices (see :mod:`repro.fleet.batch`).
 
-    ``pos`` is the index of the next unfired item; ``entry`` always
-    mirrors item ``pos`` while the cursor is in the heap.
+    ``pos`` is the index of the next unfired item; while the cursor is
+    in the heap, its key is item ``pos``'s ``(time, base + pos)``.
     """
 
     __slots__ = ("times", "pump", "pos", "base", "entry")
@@ -170,7 +178,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: List[_ScheduledEvent] = []
+        self._heap: List[HeapEntry] = []
         self._seq_next = 0
         self._stream_backlog = 0
         self._events_processed = 0
@@ -218,8 +226,8 @@ class Simulator:
             )
         seq = self._seq_next
         self._seq_next += 1
-        event = _ScheduledEvent(time=time, seq=seq, callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        event = _ScheduledEvent(time, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return EventHandle(event)
 
     def add_stream(self, items: Iterable[StreamItem]) -> int:
@@ -250,9 +258,9 @@ class Simulator:
             )
         base = self._seq_next
         self._seq_next += len(items)
-        entry = _ScheduledEvent(time=time, seq=base, callback=callback, args=args)
+        entry = _ScheduledEvent(time, callback, args)
         entry.stream = _StaticStream(items, base, entry)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (time, base, entry))
         self._stream_backlog += len(items) - 1
         return len(items)
 
@@ -277,7 +285,7 @@ class Simulator:
           ``sim._now = times[i]`` before each item's side effects.
         * If an item's processing schedules new events (detectable as a
           change of ``sim._seq_next``), refresh ``cap_time, cap_seq``
-          from ``sim._heap[0]`` before testing the next item — a newly
+          from :meth:`next_key` before testing the next item — a newly
           scheduled timer may preempt the rest of the run.
         * Return the number of items consumed (always >= 1: the first
           item was the global minimum and within ``until`` when the
@@ -301,9 +309,9 @@ class Simulator:
             )
         base = self._seq_next
         self._seq_next += len(times)
-        entry = _ScheduledEvent(time=first, seq=base, callback=_batch_cursor_callback)
+        entry = _ScheduledEvent(first, _batch_cursor_callback)
         entry.stream = _BatchStream(times, pump, base, entry)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (first, base, entry))
         self._stream_backlog += len(times) - 1
         return len(times)
 
@@ -337,14 +345,12 @@ class Simulator:
                 f"stream item {pos} at t={time:.3f} precedes item {pos - 1} "
                 f"at t={self._now:.3f}; streams must be pre-sorted"
             )
-        entry = stream.entry
-        entry.time = time
-        entry.seq = stream.base + pos
         self._stream_backlog -= 1
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (time, stream.base + pos, stream.entry))
 
-    def _advance_stream(self, stream: _StaticStream) -> None:
-        """Load the stream's next item into its heap cursor, if any."""
+    def _advance_stream(self, stream: _StaticStream, last_time: float) -> None:
+        """Load the stream's next item into its heap cursor, if any;
+        ``last_time`` is the time of the item that just fired."""
         pos = stream.pos
         items = stream.items
         if pos >= len(items):
@@ -363,23 +369,21 @@ class Simulator:
             raise SimulationError(
                 f"stream item {pos} has non-finite time {time!r}"
             )
-        if time < entry.time:
+        if time < last_time:
             raise SimulationError(
                 f"stream item {pos} at t={time:.3f} precedes item {pos - 1} "
-                f"at t={entry.time:.3f}; streams must be pre-sorted"
+                f"at t={last_time:.3f}; streams must be pre-sorted"
             )
-        entry.time = time
-        entry.seq = stream.base + pos
         entry.callback = callback
         entry.args = args
         stream.pos = pos + 1
         self._stream_backlog -= 1
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (time, stream.base + pos, entry))
 
     def step(self) -> bool:
         """Fire the next pending event. Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
             stream = event.stream
@@ -393,12 +397,12 @@ class Simulator:
                 return True
             # Capture before advancing: the stream cursor entry is
             # reused, so _advance_stream overwrites these fields.
-            time, callback, args = event.time, event.callback, event.args
+            callback, args = event.callback, event.args
             self._now = time
             self._events_processed += 1
             callback(*args)
             if stream is not None:
-                self._advance_stream(stream)
+                self._advance_stream(stream, time)
             return True
         return False
 
@@ -425,11 +429,10 @@ class Simulator:
             heappush = heapq.heappush
             isfinite = math.isfinite
             while heap:
-                event = heap[0]
+                time, _seq, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
                     continue
-                time = event.time
                 if until is not None and time > until:
                     break
                 heappop(heap)
@@ -439,11 +442,7 @@ class Simulator:
                     # consecutive item that sorts before the next heap
                     # entry (and within ``until``), re-checking the cap
                     # whenever one of its items schedules a new event.
-                    if heap:
-                        top = heap[0]
-                        cap_time, cap_seq = top.time, top.seq
-                    else:
-                        cap_time, cap_seq = math.inf, 0
+                    cap_time, cap_seq = self.next_key()
                     consumed = stream.pump(
                         stream.pos,
                         stream.base,
@@ -489,13 +488,11 @@ class Simulator:
                         )
                     if next_time > time:
                         # Hand the cursor back to the heap for lazy merge.
-                        event.time = next_time
-                        event.seq = stream.base + pos
                         event.callback = callback
                         event.args = args
                         stream.pos = pos + 1
                         self._stream_backlog -= 1
-                        heappush(heap, event)
+                        heappush(heap, (next_time, stream.base + pos, event))
                         break
                     stream.pos = pos = pos + 1
                     self._stream_backlog -= 1
@@ -531,16 +528,17 @@ class Simulator:
         heap = self._heap
         now = self._now
         for index, entry in enumerate(heap):
+            time = entry[0]
             if index > 0:
                 parent = heap[(index - 1) >> 1]
-                if (entry.time, entry.seq) < (parent.time, parent.seq):
+                if entry[:2] < parent[:2]:
                     violations.append(
                         f"engine heap property broken at index {index}: "
-                        f"t={entry.time:.3f} sorts before parent t={parent.time:.3f}"
+                        f"t={time:.3f} sorts before parent t={parent[0]:.3f}"
                     )
-            if entry.time < now:
+            if time < now:
                 violations.append(
-                    f"engine heap holds an entry at t={entry.time:.3f} "
+                    f"engine heap holds an entry at t={time:.3f} "
                     f"before the clock t={now:.3f}"
                 )
         if self._stream_backlog < 0:
@@ -558,12 +556,37 @@ class Simulator:
         streams are unaffected. Returns the number of entries removed.
         """
         before = len(self._heap)
-        live = [e for e in self._heap if not e.cancelled]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(live)
         # In place: run() iterates an alias of the heap list, and a GC
         # sweep may compact mid-run.
         self._heap[:] = live
         return before - len(live)
+
+    def next_key(self) -> Tuple[float, int]:
+        """``(time, seq)`` of the earliest heap entry, cancelled or not;
+        ``(inf, 0)`` when the heap is empty. Batch pumps cap their runs
+        with it (see :meth:`add_batch_stream`)."""
+        heap = self._heap
+        if heap:
+            top = heap[0]
+            return top[0], top[1]
+        return math.inf, 0
+
+    def clear(self) -> None:
+        """Discard every pending event without firing it.
+
+        Streams the horizon left unexhausted still hold the cursor <->
+        stream cycle the engine breaks at exhaustion; breaking it here
+        lets plain refcounting free whatever their items reference.
+        """
+        for _time, _seq, event in self._heap:
+            stream = event.stream
+            if stream is not None:
+                stream.entry = None
+                event.stream = None
+        self._heap.clear()
+        self._stream_backlog = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -135,7 +135,7 @@ class TestEngineAudit:
         sim = Simulator()
         for t in (5.0, 1.0, 3.0, 2.0):
             sim.schedule_at(t, lambda: None)
-        sim._heap.sort(key=lambda entry: -entry.time)
+        sim._heap.sort(key=lambda entry: -entry[0])
         violations = sim.audit()
         assert violations
         assert any("heap property" in v for v in violations)

@@ -259,11 +259,16 @@ class QueueMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
+        # Every rank change here goes through reorder, so nothing is
+        # hidden and re-keying from current ranks changes no order.
+        before = list(self.queue)
         self.queue.compact()
+        assert list(self.queue) == before
 
     @invariant()
     def sizes_match(self):
         assert len(self.queue) == len(self.model)
+        assert len(self.queue._keys) == len(self.model)
 
     @invariant()
     def top_matches_model(self):

@@ -1,6 +1,6 @@
 """Property tests: incremental ranked selection matches the sort reference.
 
-The heap-based ``top_n`` / ``highest_ranked`` / iteration replaced full
+The sorted-key ``top_n`` / ``highest_ranked`` / iteration replaced full
 ``sorted(..., key=_selection_key)`` calls; these properties drive random
 queues through duplicate ranks, re-queues (rank churn), removals, and
 expirations and assert the incremental answers are exactly what the old
@@ -44,8 +44,9 @@ def _published_at(event_id: int) -> float:
 def _apply(ops):
     """Run ops against the queue and a plain-dict reference model.
 
-    Checks the prune result and the amortized staleness bound after
-    every operation; returns the final (queue, model) pair.
+    Checks the prune result and that the key list holds exactly one
+    sorted key per member after every operation; returns the final
+    (queue, model) pair.
     """
     queue = RankedQueue()
     model = {}
@@ -87,7 +88,8 @@ def _apply(ops):
             assert pruned == expected
             for event_id in expected:
                 del model[event_id]
-        assert queue.stale_entries <= len(queue) + 16
+        assert len(queue._keys) == len(queue)
+        assert queue._keys == sorted(queue._keys)
     return queue, model
 
 

@@ -129,6 +129,37 @@ class TestRankChanges:
         assert queue.pop_highest() is None
 
 
+class TestVisibility:
+    """A notification is shared between the proxy's history and the
+    queues; a rank mutated in place without a ``reorder`` hides the
+    member from ranked selection until it is re-keyed."""
+
+    def test_member_mutated_without_reorder_stays_hidden_under_churn(self):
+        hidden = note(0, 1.0)
+        churn = [note(i, float(i)) for i in range(1, 11)]
+        queue = RankedQueue([hidden, *churn])
+        hidden.rank = 50.0  # outranks everything, but the queue was not told
+        for step in range(200):
+            for item in churn:
+                item.rank = float((item.event_id * 3 + step) % 7)
+                queue.reorder(item)
+            queue.remove(churn[step % 10].event_id)
+            queue.add(churn[step % 10])
+            assert 0 not in [m.event_id for m in queue.top_n(len(queue))]
+            assert 0 not in [m.event_id for m in queue]
+            assert 0 not in [m.event_id for m in highest_ranked(len(queue), queue)]
+            assert hidden in queue
+        visible = len(queue) - 1
+        popped = [queue.pop_highest() for _ in range(visible)]
+        assert hidden not in popped
+        assert queue.pop_highest() is None
+        assert queue.peek_highest() is None
+        assert len(queue) == 1
+        queue.reorder(hidden)
+        assert queue.pop_highest() is hidden
+        assert not queue
+
+
 class TestTopN:
     def test_top_n_returns_highest(self):
         queue = RankedQueue([note(i, float(i)) for i in range(10)])
@@ -173,12 +204,15 @@ class TestMaintenance:
         assert len(queue) == 2
 
     def test_compact_removes_stale_entries(self):
-        queue = RankedQueue([note(i, float(i)) for i in range(20)])
+        """Removed members leave their expiry entries behind (a
+        conservative ``next_expiry``) until ``compact`` drops them."""
+        queue = RankedQueue([note(i, float(i), expires_at=100.0 + i) for i in range(20)])
         for i in range(15):
             queue.remove(EventId(i))
-        assert queue.stale_entries == 15  # below the auto-compact threshold
+        assert len(queue._keys) == len(queue) == 5
+        assert queue.next_expiry() == 100.0  # a removed member's deadline
         queue.compact()
-        assert queue.stale_entries == 0
+        assert queue.next_expiry() == 115.0
         assert [m.event_id for m in queue.top_n(5)] == [19, 18, 17, 16, 15]
 
     def test_prune_skips_entries_for_removed_members(self):
@@ -208,29 +242,31 @@ class TestMaintenance:
         assert [m.event_id for m in expired] == [2, 3, 1]
 
     def test_stale_entries_bounded_under_rank_churn(self):
-        """Amortized self-compaction: stale lazy-deletion entries never
-        exceed live membership plus the constant slack, no matter how
-        long rank churn goes on."""
+        """Rank churn leaves no stale entries: the key list holds exactly
+        one sorted key per member, and re-keying a member keeps its
+        single expiry entry, no matter how long churn goes on."""
         items = [note(i, float(i), expires_at=1e9) for i in range(50)]
         queue = RankedQueue(items)
         for round_number in range(200):
             for item in items:
                 item.rank = float((item.event_id * 7 + round_number) % 97)
                 queue.reorder(item)
-            assert queue.stale_entries <= len(queue) + 16
+            assert len(queue._keys) == len(queue)
+            assert queue._keys == sorted(queue._keys)
+            assert len(queue._expiry) == len(queue)
         assert len(queue) == 50
         # Churn must not corrupt ranked selection.
         best = queue.top_n(3)
         assert [m.rank for m in best] == sorted((m.rank for m in items), reverse=True)[:3]
 
-    def test_compact_if_stale_reports_reclaimed_entries(self):
-        queue = RankedQueue([note(i, float(i), expires_at=100.0) for i in range(20)])
-        for i in range(15):
-            queue.remove(EventId(i))
-        assert queue.compact_if_stale() == 0  # 15 stale <= 5 live + 16 slack
-        # Forcing the threshold reclaims the stale entries of both heaps.
-        assert queue.compact_if_stale(slack=-1) == 30
-        assert queue.stale_entries == 0
+    def test_compact_rekeys_member_mutated_in_place(self):
+        items = [note(i, float(i)) for i in range(5)]
+        queue = RankedQueue(items)
+        items[0].rank = 10.0  # mutated without a reorder: hidden
+        assert [m.event_id for m in queue.top_n(5)] == [4, 3, 2, 1]
+        queue.compact()
+        assert [m.event_id for m in queue.top_n(5)] == [0, 4, 3, 2, 1]
+        assert len(queue._keys) == len(queue) == 5
 
 
 @given(
@@ -269,3 +305,50 @@ def test_property_removed_items_never_pop(items):
     while queue:
         popped.add(queue.pop_highest().event_id)
     assert popped == {i for i, _, remove in items if not remove}
+
+
+_union_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "reorder"]),
+        st.integers(0, 11),
+        st.integers(0, 2),
+        st.sampled_from([0.0, 1.0, 2.0, 3.5]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(_union_ops, st.integers(1, 8))
+@settings(max_examples=150)
+def test_highest_ranked_union_tracks_interleaved_mutations(ops, n):
+    """Members move between three queues (as the proxy's READ moves them
+    into ``outgoing``) and are re-ranked in place; the union selection
+    matches a sort of the live members after every operation."""
+    queues = [RankedQueue() for _ in range(3)]
+    where = {}
+    items = {}
+    for op, raw_id, target, rank in ops:
+        event_id = EventId(raw_id)
+        item = items.setdefault(
+            event_id, note(raw_id, rank, published_at=float(raw_id % 3))
+        )
+        if op == "add":
+            if event_id in where:
+                queues[where.pop(event_id)].remove(event_id)
+            item.rank = rank
+            queues[target].add(item)
+            where[event_id] = target
+        elif op == "remove":
+            if event_id in where:
+                queues[where.pop(event_id)].remove(event_id)
+        else:
+            item.rank = rank
+            for queue in queues:
+                queue.reorder(item)
+        expected = sorted(
+            (items[e] for e in where),
+            key=lambda m: (-m.rank, m.published_at, m.event_id),
+        )[:n]
+        got = highest_ranked(n, *queues)
+        assert [m.event_id for m in got] == [m.event_id for m in expected]

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -331,6 +333,33 @@ class TestCounters:
         assert sim.events_processed == 1
 
 
+class TestHeapAccess:
+    def test_next_key_reports_earliest_entry(self, sim):
+        assert sim.next_key() == (math.inf, 0)
+        sim.schedule_at(5.0, lambda: None)
+        handle = sim.schedule_at(2.0, lambda: None)
+        assert sim.next_key() == (2.0, 1)
+        handle.cancel()
+        assert sim.next_key() == (2.0, 1)  # cancelled, but not yet popped
+
+    def test_next_key_tracks_stream_cursor(self, sim):
+        sim.schedule_at(9.0, lambda: None)
+        sim.add_stream([(1.0, lambda: None, ()), (3.0, lambda: None, ())])
+        assert sim.next_key() == (1.0, 1)
+        sim.step()
+        assert sim.next_key() == (3.0, 2)
+
+    def test_clear_discards_pending_timers_and_streams(self, sim):
+        fired = []
+        sim.add_stream([(1.0, fired.append, (1,)), (2.0, fired.append, (2,))])
+        sim.schedule_at(1.5, fired.append, "timer")
+        sim.run(until=1.2)
+        sim.clear()
+        assert sim.pending == 0
+        sim.run()
+        assert fired == [1]
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
 def test_property_events_fire_in_nondecreasing_time_order(delays):
     sim = Simulator()
@@ -378,9 +407,7 @@ def _reference_pump(sim, times, on_item):
             sim._now = time
             on_item(i)
             if sim._seq_next != seq_mark:
-                if sim._heap:
-                    top = sim._heap[0]
-                    cap_time, cap_seq = top.time, top.seq
+                cap_time, cap_seq = sim.next_key()
                 seq_mark = sim._seq_next
             consumed += 1
             i += 1
