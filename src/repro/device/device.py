@@ -201,8 +201,9 @@ class ClientDevice:
         The dispatcher guarantees what :meth:`receive` would otherwise
         re-check: the device is alive (no battery model), the event id
         is fresh (first delivery of a new arrival — duplicates require a
-        fault plan, which disables fusion), and storage is unlimited —
-        leaving the queue insert, the topic index, and the expiry timer.
+        fault plan, and a link with one delivers through :meth:`receive`
+        instead), and storage is unlimited — leaving the queue insert,
+        the topic index, and the expiry timer.
         """
         queue = self._queues[notification.topic]
         queue.add(notification)

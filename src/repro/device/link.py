@@ -196,10 +196,16 @@ class LastHopLink:
         """Fused delivery for batched fleet dispatch.
 
         The caller (:meth:`repro.proxy.proxy.LastHopProxy._forward_batch`
-        via the batch dispatcher) guarantees the link is up, carries no
-        fault plan, and has zero latency — so metering plus a direct
-        device hand-off replicates :meth:`deliver` exactly.
+        via the batch dispatcher) guarantees the link is up and has zero
+        latency, and that the delivery is a push. With a fault plan that
+        is :meth:`deliver`'s first ack/retry attempt, whose duplicates
+        :meth:`ClientDevice.receive` dedups; without one, metering plus
+        a direct hand-off to ``receive_batch`` replicates :meth:`deliver`
+        exactly.
         """
+        if self._faults is not None:
+            self._attempt(notification, DeliveryMode.PUSHED, 1)
+            return
         self.deliveries += 1
         self.bytes_carried += notification.size_bytes
         self._device.receive_batch(notification)

@@ -21,6 +21,21 @@ Two layers:
   differential tests pin). Crash times come from a named
   :class:`~repro.sim.rng.RandomSource` substream of the scenario seed.
 
+Every draw hashes the key ``b"<seed>:faults:<site>:<part>:..."`` (the
+decimal seed, then the site name and its parts, ``:``-joined) and maps
+the first eight digest bytes, big-endian, to ``[0, 1)``. The seed
+prefix is encoded once per plan.
+
+A fleet campaign replays one workload under several policies, and the
+first delivery attempt of each arrival asks the same questions every
+time. :class:`FaultDrawTable` answers them once per workload: three
+float64 columns aligned row for row with the workload's arrivals hold
+the attempt-1 ``drop`` and ``jitter`` uniforms and the ``dup`` uniform.
+The table is filled lazily — NaN marks a draw not made yet — so a run
+never hashes more than it would without it, and each plan reads and
+writes only its own device's rows (:meth:`FaultPlan.attach_draws`).
+Retries (attempt 2 and later) and read-report corruption draw per call.
+
 The hard guarantee: a null spec (``FaultSpec.none()`` or no ``--faults``
 flag) builds no plan at all, and every fault-aware code path reduces to
 the exact pre-fault behaviour — figure tables, the validate scorecard,
@@ -35,11 +50,13 @@ re-applies it inside worker processes.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomSource
@@ -180,6 +197,37 @@ PRESETS: Dict[str, FaultSpec] = {
 }
 
 
+class FaultDrawTable:
+    """Attempt-1 fault uniforms for a workload's arrivals, drawn lazily.
+
+    Row ``i`` belongs to arrival ``i``; the ``drop``, ``jitter`` and
+    ``dup`` columns hold that arrival's first-attempt drop and jitter
+    uniforms and its duplicate uniform, NaN until first drawn. A
+    uniform does not depend on the spec's rates, so one table serves
+    every policy and fault preset run over the workload. The cells are
+    allocated on the first :meth:`columns` call, so a fault-free run
+    never pays for them.
+    """
+
+    __slots__ = ("rows", "_cells")
+
+    def __init__(self, rows: int) -> None:
+        self.rows = rows
+        self._cells: Optional[np.ndarray] = None
+
+    def columns(self, lo: int, hi: int) -> Tuple[memoryview, memoryview, memoryview]:
+        """Writable ``(drop, jitter, dup)`` views of rows ``[lo, hi)``.
+
+        Memoryviews rather than arrays: indexing one yields a Python
+        float, which keeps the per-delivery lookup cheap and keeps
+        NumPy scalars out of simulated times.
+        """
+        if self._cells is None:
+            self._cells = np.full((3, self.rows), np.nan)
+        drops, jitters, dups = self._cells[:, lo:hi]
+        return memoryview(drops), memoryview(jitters), memoryview(dups)
+
+
 class FaultPlan:
     """The realization of a :class:`FaultSpec` for one scenario seed.
 
@@ -190,7 +238,10 @@ class FaultPlan:
     other random stream.
     """
 
-    __slots__ = ("spec", "seed", "crash_times")
+    __slots__ = (
+        "spec", "seed", "crash_times", "_prefix",
+        "_drops", "_jitters", "_dups", "_draw_base", "_draw_lo", "_draw_hi",
+    )
 
     def __init__(
         self, spec: FaultSpec, seed: int, crash_times: Tuple[float, ...] = ()
@@ -198,6 +249,11 @@ class FaultPlan:
         self.spec = spec
         self.seed = seed
         self.crash_times = crash_times
+        self._prefix = b"%d:faults:" % seed
+        # No table attached: the empty row range sends every lookup to
+        # a direct draw.
+        self._drops = self._jitters = self._dups = None
+        self._draw_base = self._draw_lo = self._draw_hi = 0
 
     @classmethod
     def build(
@@ -225,14 +281,58 @@ class FaultPlan:
         """The null plan: no faults, no protocol, byte-identical runs."""
         return None
 
+    def attach_draws(
+        self,
+        columns: Tuple[memoryview, memoryview, memoryview],
+        lo: int,
+        hi: int,
+        first_event_id: int,
+    ) -> None:
+        """Serve attempt-1 draws from rows ``[lo, hi)`` of ``columns``.
+
+        ``columns`` are a :meth:`FaultDrawTable.columns` view; the rows
+        must be this plan's events, with consecutive ids starting at
+        ``first_event_id``. Events outside the range draw directly.
+        """
+        self._drops, self._jitters, self._dups = columns
+        self._draw_base = first_event_id - lo
+        self._draw_lo = lo
+        self._draw_hi = hi
+
     # ------------------------------------------------------------------
     # Hash-derived decisions
     # ------------------------------------------------------------------
-    def _unit(self, *parts: object) -> float:
-        """Uniform [0, 1) draw, a pure function of (seed, parts)."""
-        key = ":".join(str(part) for part in (self.seed, "faults") + parts)
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+    def _draw(self, suffix: bytes) -> float:
+        """Uniform [0, 1) draw, a pure function of (seed, suffix)."""
+        digest = sha256(self._prefix + suffix).digest()
         return int.from_bytes(digest[:8], "big") / 2.0**64
+
+    def _tabled(self, column, key: bytes, event_id: int) -> float:
+        """``_draw(key % event_id)``, through the table when it has the row."""
+        row = event_id - self._draw_base
+        if self._draw_lo <= row < self._draw_hi:
+            u = column[row]
+            if u == u:  # NaN = not drawn yet
+                return u
+            u = column[row] = self._draw(key % event_id)
+            return u
+        return self._draw(key % event_id)
+
+    def _drop_unit(self, event_id: int, attempt: int) -> float:
+        if attempt == 1:
+            return self._tabled(self._drops, b"drop:%d:1", event_id)
+        return self._draw(b"drop:%d:%d" % (event_id, attempt))
+
+    def _jitter_unit(self, event_id: int, attempt: int) -> float:
+        if attempt == 1:
+            return self._tabled(self._jitters, b"jitter:%d:1", event_id)
+        return self._draw(b"jitter:%d:%d" % (event_id, attempt))
+
+    def _dup_unit(self, event_id: int) -> float:
+        return self._tabled(self._dups, b"dup:%d", event_id)
+
+    def _report_unit(self, topic: str, time: float) -> float:
+        return self._draw(("report:%s:%r" % (topic, float(time))).encode("utf-8"))
 
     def drop_delivery(self, event_id: int, attempt: int) -> bool:
         """Whether this delivery attempt is lost on the last hop.
@@ -243,20 +343,19 @@ class FaultPlan:
         the loss rate.
         """
         rate = self.spec.loss_rate
-        return rate > 0.0 and self._unit("drop", int(event_id), attempt) < rate
+        return rate > 0.0 and self._drop_unit(event_id, attempt) < rate
 
     def duplicate_delivery(self, event_id: int) -> bool:
         """Whether a successfully delivered notification arrives twice."""
         rate = self.spec.duplicate_rate
-        return rate > 0.0 and self._unit("dup", int(event_id)) < rate
+        return rate > 0.0 and self._dup_unit(event_id) < rate
 
     def delivery_jitter(self, event_id: int, attempt: int) -> float:
         """Extra delivery latency (s), exponential with the spec's mean."""
         mean = self.spec.jitter_mean
         if mean <= 0.0:
             return 0.0
-        u = self._unit("jitter", int(event_id), attempt)
-        return -mean * math.log(1.0 - u)
+        return -mean * math.log(1.0 - self._jitter_unit(event_id, attempt))
 
     def retry_backoff(self, attempt: int) -> float:
         """Capped exponential backoff before retry number ``attempt``."""
@@ -280,7 +379,7 @@ class FaultPlan:
         extras = [
             entry
             for entry in entries
-            if self._unit("report", topic, repr(float(entry[0]))) < rate
+            if self._report_unit(topic, entry[0]) < rate
         ]
         corrupted.extend(extras)
         return corrupted, len(extras)

@@ -37,11 +37,20 @@ The fusion rules that make this hold:
   holds; :meth:`ShardBatchDispatcher.resync` re-derives the
   ``scalar_only`` gate (and every mirrored column) from the
   authoritative objects after each scalar fallback. Anything dynamic
-  timers can invalidate (crash rebuilds, pending retractions, the
-  rank-instability delay stage) routes the binding back through the
-  scalar oracle path. Bindings that can never fuse (fault plan, or a
-  shard-level fusion blocker) skip the resync entirely — their columns
-  are never consulted.
+  timers can invalidate (pending retractions, the rank-instability
+  delay stage) routes the binding back through the scalar oracle path.
+  Bindings that can never fuse (a fault plan with a crash schedule,
+  whose restarts rebuild proxy state outside the pump, or a shard-level
+  fusion blocker) skip the resync entirely — their columns are never
+  consulted.
+* Faulted bindings without crashes fuse like clean ones. Loss,
+  duplicates, jitter and retries live in the link and the device: a
+  fused forward runs the link's first ack/retry attempt, retry and
+  delayed-receive timers touch no proxy queue, and duplicates are
+  deduped by ``ClientDevice.receive``. One ordering effect remains:
+  retries parked during an outage must be rescheduled before the
+  reconnect listeners run, which only ``set_status`` does, so a
+  reconnect with parked retries takes the scalar path.
 * Fused handlers replicate the scalar code path's *observable* writes
   exactly, and skip only work proven to be a no-op under the fast-path
   guarantees: the ``prefetch_limit`` recompute when ``old_reads`` has
@@ -111,7 +120,7 @@ class ShardBatchDispatcher:
         stats_list: List,
         perform_reads: List,
         set_statuses: List,
-        has_plan: List[bool],
+        crash_prone: List[bool],
         link_latency: float,
         recorder,
         auditor,
@@ -127,7 +136,6 @@ class ShardBatchDispatcher:
         self.stats_list = stats_list
         self.perform_reads = perform_reads
         self.set_statuses = set_statuses
-        self.has_plan = has_plan
 
         #: The whole shard qualifies for fusion only without observers
         #: (recorder/auditor hooks fire on scalar paths only), with a
@@ -154,16 +162,18 @@ class ShardBatchDispatcher:
         self.cols = FleetColumns(workload, initial_limit)
         if not self.fused_shard:
             self.cols.scalar_only[:] = 1
-        elif any(has_plan):
-            self.cols.scalar_only[np.asarray(has_plan, dtype=bool)] = 1
-        #: Static per-device fusion eligibility (no fault plan, fused
-        #: shard): unlike ``scalar_only`` this can never be invalidated
-        #: by dynamic timers, so DOWN transitions — which touch no
-        #: queue state — may fuse on it alone. A False here also means
-        #: the binding's columns are never consulted, so its scalar
-        #: fallbacks skip the resync.
+        elif any(crash_prone):
+            self.cols.scalar_only[np.asarray(crash_prone, dtype=bool)] = 1
+        #: Static per-device fusion eligibility (fused shard, and no
+        #: crash schedule — a crash/restart timer rebuilds proxy state
+        #: outside the pump; other faults do not block fusion): unlike
+        #: ``scalar_only`` this can never be invalidated by dynamic
+        #: timers, so DOWN transitions — which touch no queue state —
+        #: may fuse on it alone. A False here also means the binding's
+        #: columns are never consulted, so its scalar fallbacks skip the
+        #: resync.
         self.statics: List[bool] = [
-            self.fused_shard and not plan for plan in has_plan
+            self.fused_shard and not crashes for crashes in crash_prone
         ]
         self.dev_queues = [
             device._queues[topics[d]] for d, device in enumerate(devices)
@@ -172,8 +182,8 @@ class ShardBatchDispatcher:
         #: Whether fused arrivals must keep the proxy's durable history
         #: and delay-tracker bookkeeping. Both exist solely for rank
         #: changes: ``history`` is read when a change resolves its
-        #: original arrival (and by crash rebuilds, which imply a fault
-        #: plan and hence a never-fused binding), and the tracker's
+        #: original arrival (and by crash rebuilds, which imply a crash
+        #: schedule and hence a never-fused binding), and the tracker's
         #: publication count is only consulted once a drop has been
         #: recorded. A shard whose workload carries no change events can
         #: therefore skip both writes on the fused path;
@@ -349,15 +359,14 @@ class ShardBatchDispatcher:
         objects; called after every scalar fallback of a binding that
         can still fuse (``statics[d]``).
 
-        Also re-fetches the :class:`TopicState` from the proxy (a crash
-        rebuild replaces the state object) and re-derives the
-        ``scalar_only`` gate: sticky conditions (fault plan, recorded
-        rank drops under adaptive delay) keep the binding scalar,
-        transient ones (pending retractions, armed delay timers) clear
-        once drained.
+        Also re-derives the ``scalar_only`` gate: a sticky condition
+        (recorded rank drops under adaptive delay) keeps the binding
+        scalar, transient ones (pending retractions, armed delay timers)
+        clear once drained. Only a fused shard's crash-free bindings
+        get here, so no crash rebuild has replaced the state object and
+        neither the shard gate nor the crash gate needs a re-check.
         """
-        st = self.proxy._states[self.topics[d]]
-        self.states[d] = st
+        st = self.states[d]
         cols = self.cols
         cols.network[d] = 1 if st.network is _UP else 0
         cols.queue_size[d] = st.queue_size
@@ -372,10 +381,7 @@ class ShardBatchDispatcher:
             st.holding.next_expiry(),
         )
         dirty = (
-            not self.fused_shard
-            or self.has_plan[d]
-            or st.crashed
-            or bool(st.pending_retractions)
+            bool(st.pending_retractions)
             or bool(st.delay_handles)
             or (self.adaptive_delay and st.tracker.drops > 0)
         )
@@ -477,7 +483,7 @@ class ShardBatchDispatcher:
             elif code == _OUTAGE_DOWN:
                 # DOWN touches no queue state: the device listener
                 # ignores it and the proxy only records the status, so
-                # any un-planned binding fuses regardless of dirtiness.
+                # any crash-free binding fuses regardless of dirtiness.
                 # (Branch order is by event frequency: a typical
                 # campaign carries several outage transitions per read.)
                 if statics[d]:
@@ -495,8 +501,12 @@ class ShardBatchDispatcher:
                 # side) followed by the proxy's try_forwarding — a
                 # no-op unless something is queued, in which case the
                 # real flush runs and the columns resync from its
-                # outcome.
-                if statics[d] and not scalar_only[d] and not offline[d]:
+                # outcome. Retries parked during the outage must resume
+                # before the listeners run, which only set_status does.
+                if (
+                    statics[d] and not scalar_only[d] and not offline[d]
+                    and not links[d]._parked
+                ):
                     if not net[d]:
                         st = states[d]
                         links[d]._status = _UP

@@ -27,9 +27,9 @@ and the differential suite):
   queued); it may point at an already-removed event, never past a live
   one.
 * ``scalar_only`` is sticky-conservative: it is set the moment a
-  binding leaves fast-path territory (fault plan attached, crashed,
-  pending retractions, adaptive delay armed by rank drops) and only
-  cleared by a resync that re-verifies every fast-path precondition.
+  binding leaves fast-path territory (crash schedule attached, pending
+  retractions, adaptive delay armed by rank drops) and only cleared by
+  a resync that re-verifies every fast-path precondition.
 
 ``volume_limit`` and ``wake_phase`` are static per-device heterogeneity
 knobs (the subscription Max and the wake-window offset), carried here

@@ -170,13 +170,19 @@ def _execute_shard_inner(
     base_seed = config.seed
     null_faults = spec is None or spec.is_null
     schedule_at = sim.schedule_at
+    draws = None if null_faults else workload.fault_draws()
+    if draws is not None:
+        arrival_rows = workload._stream_offsets(
+            "arrivals", workload.arrival_counts
+        ).tolist()
+        event_ids = workload.arrivals.event_ids
 
     topics: List[TopicId] = []
     stats_list: List[SketchedStats] = []
     devices: List[ClientDevice] = []
     links: List[LastHopLink] = []
     states: List = []
-    has_plan: List[bool] = []
+    crash_prone: List[bool] = []
     perform_reads: List = []
     set_statuses: List = []
     for index in range(workload.devices):
@@ -205,6 +211,10 @@ def _execute_shard_inner(
         device.attach_proxy(proxy)
         link.add_status_listener(partial(proxy.on_topic_network, topic))
         if plan is not None:
+            if draws is not None:
+                lo, hi = arrival_rows[index], arrival_rows[index + 1]
+                if hi > lo:
+                    plan.attach_draws(draws, lo, hi, int(event_ids[lo]))
             for crash_time in plan.crash_times:
                 schedule_at(
                     crash_time,
@@ -217,7 +227,7 @@ def _execute_shard_inner(
         devices.append(device)
         links.append(link)
         states.append(state)
-        has_plan.append(plan is not None)
+        crash_prone.append(plan is not None and bool(plan.crash_times))
         perform_reads.append(device.perform_read)
         set_statuses.append(link.set_status)
 
@@ -234,7 +244,7 @@ def _execute_shard_inner(
             stats_list=stats_list,
             perform_reads=perform_reads,
             set_statuses=set_statuses,
-            has_plan=has_plan,
+            crash_prone=crash_prone,
             link_latency=link_latency,
             recorder=recorder,
             auditor=auditor,

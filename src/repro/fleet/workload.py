@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.faults import FaultDrawTable
 from repro.fleet.config import FleetScenarioConfig
 from repro.sim.rng import RandomSource, derive_seed
 from repro.sim.trace import (
@@ -94,6 +95,10 @@ class FleetWorkload:
     #: Per-device volume limit (the subscription Max).
     limits: np.ndarray
     _offset_cache: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    #: The fault-draw table shared by every slice of one workload, and
+    #: the table row of this slice's first arrival (see fault_draws).
+    _draws: Optional[FaultDrawTable] = field(default=None, repr=False)
+    _draw_lo: int = field(default=0, repr=False)
 
     # ------------------------------------------------------------------
     def _stream_offsets(self, name: str, counts: np.ndarray) -> np.ndarray:
@@ -163,8 +168,33 @@ class FleetWorkload:
             },
         )
 
+    def fault_draws(
+        self,
+    ) -> Optional[Tuple[memoryview, memoryview, memoryview]]:
+        """This slice's rows of the workload's :class:`FaultDrawTable`.
+
+        Every slice :meth:`shard` cuts shares one table, so a campaign
+        that re-slices the workload per policy draws each attempt-1
+        fault once. Returns None when the arrival ids are not
+        consecutive, since rows are found by id arithmetic.
+        """
+        eids = self.arrivals.event_ids
+        if not bool(np.all(np.diff(eids) == 1)):
+            return None
+        return self._draw_table().columns(
+            self._draw_lo, self._draw_lo + eids.size
+        )
+
+    def _draw_table(self) -> FaultDrawTable:
+        if self._draws is None:
+            self._draws = FaultDrawTable(self.arrivals.event_ids.size)
+        return self._draws
+
     def shard(self, lo: int, hi: int) -> "FleetWorkload":
-        """Slice devices ``[lo, hi)`` of this workload (zero-copy views)."""
+        """Slice devices ``[lo, hi)`` of this workload (zero-copy views).
+
+        The slice shares this workload's fault-draw table.
+        """
         if not 0 <= lo < hi <= self.devices:
             raise ConfigurationError(
                 f"shard [{lo}, {hi}) outside fleet of {self.devices} devices"
@@ -201,6 +231,8 @@ class FleetWorkload:
             ),
             change_counts=self.change_counts[lo:hi],
             limits=self.limits[lo:hi],
+            _draws=self._draw_table(),
+            _draw_lo=self._draw_lo + int(a[lo]),
         )
 
     # ------------------------------------------------------------------

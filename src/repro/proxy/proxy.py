@@ -398,8 +398,9 @@ class LastHopProxy:
         on immediate forwards. ``track=False`` additionally skips the
         durable-history insert and the delay-tracker publication count;
         both exist solely for rank changes (crash rebuilds read history
-        too, but imply a fault plan and hence a never-fused binding), so
-        the caller may clear it only when its workload carries none.
+        too, but imply a crash schedule and hence a never-fused
+        binding), so the caller may clear it only when its workload
+        carries none.
         Returns True iff the notification was forwarded to the device
         (the client queue grew by one).
         """

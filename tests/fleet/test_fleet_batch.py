@@ -8,11 +8,12 @@ integer metric — the batched path is an optimization, never an
 approximation — and, with identical sharding, on the float sums too
 (same devices folded in the same order).
 
-The matrix here sweeps (policy x fault preset x seed), the rich
+The matrix here sweeps (policy x fault preset x seed) and checks that
+faulted bindings really take the fused path, then covers the rich
 workload features the fused gates must punt on (expiring arrivals, rank
-changes, thresholds, link latency), partitioning knobs, and — via
-hypothesis — randomly drawn heterogeneity configs. A final class pins
-the columnar write-through invariants with
+changes, thresholds, link latency), retries parked across outages,
+partitioning knobs, and — via hypothesis — randomly drawn heterogeneity
+configs. A final class pins the columnar write-through invariants with
 :meth:`FleetColumns.verify_sync` at end of run.
 """
 
@@ -23,9 +24,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.device.link import LastHopLink
 from repro.fleet import FleetScenarioConfig, run_fleet
 from repro.fleet.batch import ShardBatchDispatcher
+from repro.fleet.runner import device_topic
 from repro.proxy.policies import PolicyConfig
+from repro.proxy.proxy import LastHopProxy
+from repro.sim.rng import derive_seed
+from repro.types import NetworkStatus
 from repro.units import DAY
 from repro.workload.arrivals import ArrivalConfig
 from repro.workload.outages import OutageConfig
@@ -40,7 +46,7 @@ POLICIES = {
     "unified": PolicyConfig.unified,
 }
 
-PRESETS = [None, "lossy", "chaos"]
+PRESETS = [None, "lossy", "reliable", "chaos"]
 
 
 def _both_signatures(config, policy, *, spec=None, link_latency=0.0):
@@ -51,6 +57,30 @@ def _both_signatures(config, policy, *, spec=None, link_latency=0.0):
         config, policy, faults=spec, link_latency=link_latency, use_batch=False
     ).accumulator
     return batch, scalar
+
+
+def _record_fused_topics(monkeypatch):
+    """Collect the topic of every binding ``notify_batch`` serves."""
+    fused = set()
+    original = LastHopProxy.notify_batch
+
+    def spy(proxy, state, *args):
+        fused.add(state.topic)
+        return original(proxy, state, *args)
+
+    monkeypatch.setattr(LastHopProxy, "notify_batch", spy)
+    return fused
+
+
+def _crash_free_topics(config, spec):
+    """Topics of the devices whose fault plan schedules no crash."""
+    return {
+        device_topic(d)
+        for d in range(config.devices)
+        if not faults.FaultPlan.build(
+            spec, derive_seed(config.seed, f"device-{d}"), config.duration
+        ).crash_times
+    }
 
 
 def _assert_identical(batch, scalar):
@@ -67,13 +97,23 @@ class TestDifferentialMatrix:
         "policy_name,preset,seed",
         list(itertools.product(sorted(POLICIES), PRESETS, [0, 7])),
     )
-    def test_batch_matches_scalar(self, policy_name, preset, seed):
+    def test_batch_matches_scalar(
+        self, policy_name, preset, seed, monkeypatch
+    ):
         spec = faults.FaultSpec.parse(preset) if preset else None
         config = FleetScenarioConfig(devices=120, duration=DAY, seed=seed)
+        fused = _record_fused_topics(monkeypatch)
         batch, scalar = _both_signatures(
             config, POLICIES[policy_name](), spec=spec
         )
         _assert_identical(batch, scalar)
+        if spec is not None and policy_name != "rate":
+            # Every binding carries a fault plan here; the differential
+            # check above is only meaningful if some of them fused.
+            # RATE arrivals never fuse, and a crash schedule keeps its
+            # binding on the scalar path.
+            assert fused
+            assert fused <= _crash_free_topics(config, spec)
 
 
 class TestRichWorkloads:
@@ -102,6 +142,15 @@ class TestRichWorkloads:
         )
         _assert_identical(batch, scalar)
 
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_expiring_arrivals_lossy(self, policy_name):
+        batch, scalar = _both_signatures(
+            self._rich_config(),
+            POLICIES[policy_name](),
+            spec=faults.FaultSpec.parse("lossy"),
+        )
+        _assert_identical(batch, scalar)
+
     def test_rank_churn_with_faults(self):
         batch, scalar = _both_signatures(
             self._rich_config(),
@@ -118,6 +167,65 @@ class TestRichWorkloads:
             link_latency=3.0,
         )
         _assert_identical(batch, scalar)
+
+
+class TestParkedRetries:
+    """Retries that fire during an outage park at the link and must
+    resume, before the listeners, when it comes back up."""
+
+    def test_fused_reconnect_resumes_parked_retries(self, monkeypatch):
+        config = FleetScenarioConfig(
+            devices=60,
+            duration=DAY,
+            seed=5,
+            outages=OutageConfig(downtime_fraction=0.4, outages_per_day=4.0),
+        )
+        # Heavy loss and a long backoff: most retries land in an outage.
+        spec = faults.FaultSpec(
+            loss_rate=0.6, retry_base=600.0, retry_cap=3600.0
+        )
+        captured = {}
+        original_register = ShardBatchDispatcher.register_streams
+
+        def capture(dispatcher):
+            captured["dispatcher"] = dispatcher
+            return original_register(dispatcher)
+
+        # UP transitions that met every fused-reconnect gate except an
+        # empty parked list.
+        parked_ups = []
+        original_set_status = LastHopLink.set_status
+
+        def spy(link, status):
+            dispatcher = captured.get("dispatcher")
+            if (
+                dispatcher is not None
+                and status is NetworkStatus.UP
+                and not link.up
+                and link._parked
+            ):
+                d = dispatcher.links.index(link)
+                cols = dispatcher.cols
+                if (
+                    dispatcher.statics[d]
+                    and not cols.scalar_only[d]
+                    and not cols.offline_reads[d]
+                ):
+                    parked_ups.append(d)
+            return original_set_status(link, status)
+
+        monkeypatch.setattr(ShardBatchDispatcher, "register_streams", capture)
+        monkeypatch.setattr(LastHopLink, "set_status", spy)
+        batch = run_fleet(
+            config, PolicyConfig.unified(), faults=spec, use_batch=True
+        ).accumulator
+        captured.clear()
+        scalar = run_fleet(
+            config, PolicyConfig.unified(), faults=spec, use_batch=False
+        ).accumulator
+        _assert_identical(batch, scalar)
+        assert parked_ups
+        assert batch.counters["delivery_retries"] > 0
 
 
 class TestPartitioning:
@@ -192,7 +300,7 @@ class TestHypothesisHeterogeneity:
 class TestColumnSync:
     """The columnar mirror must match the authoritative objects."""
 
-    def _captured_dispatcher(self, monkeypatch, config, policy):
+    def _captured_dispatcher(self, monkeypatch, config, policy, spec=None):
         """Run one shard, capturing the dispatcher and skipping the
         teardown that would clear the state it mirrors."""
         import repro.fleet.runner as runner_mod
@@ -212,10 +320,16 @@ class TestColumnSync:
             runner_mod, "_dismantle_shard", lambda *args: None
         )
         workload = build_fleet_workload(config)
-        runner_mod._execute_shard(workload, policy, use_batch=True)
+        runner_mod._execute_shard(workload, policy, spec, use_batch=True)
         return captured["dispatcher"]
 
     def test_columns_in_sync_at_end_of_run(self, monkeypatch):
+        self._assert_in_sync(monkeypatch, None)
+
+    def test_columns_in_sync_at_end_of_lossy_run(self, monkeypatch):
+        self._assert_in_sync(monkeypatch, faults.FaultSpec.parse("lossy"))
+
+    def _assert_in_sync(self, monkeypatch, spec):
         config = FleetScenarioConfig(
             devices=80,
             duration=DAY,
@@ -225,8 +339,11 @@ class TestColumnSync:
             outages=OutageConfig(downtime_fraction=0.3),
         )
         dispatcher = self._captured_dispatcher(
-            monkeypatch, config, PolicyConfig.unified()
+            monkeypatch, config, PolicyConfig.unified(), spec
         )
+        # Without crashes every binding, faulted or not, can fuse, so
+        # the whole shard is checked.
+        assert all(dispatcher.statics)
         violations = dispatcher.cols.verify_sync(
             dispatcher.states, dispatcher.devices, dispatcher.topics
         )
