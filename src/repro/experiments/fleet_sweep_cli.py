@@ -41,8 +41,13 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import faults, obs
-from repro.errors import ConfigurationError, ExportError
+from repro.errors import ConfigurationError
+from repro.experiments.fleet_cli import (
+    add_campaign_arguments,
+    parse_campaign_args,
+    run_and_emit,
+    scenario_overrides,
+)
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import SweepStore, dump_rows
 from repro.fleet.sweep import (
@@ -55,10 +60,6 @@ from repro.fleet.sweep import (
     run_fleet_sweep,
     summarize_pareto,
 )
-from repro.units import DAY
-from repro.workload.arrivals import ArrivalConfig
-from repro.workload.outages import OutageConfig
-from repro.workload.reads import ReadConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,19 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON grid file with base/axes/policies/seeds; "
                             "flags below override its base scenario knobs"
                         ))
-    # Base scenario knobs (mirror the single-campaign CLI).
-    parser.add_argument("--devices", type=int, default=None,
-                        help="base fleet size (default 1000)")
-    parser.add_argument("--days", type=float, default=None,
-                        help="virtual run length in days (default 1)")
-    parser.add_argument("--events-per-day", type=float, default=None,
-                        help="mean notification arrivals per device-day")
-    parser.add_argument("--reads-per-day", type=float, default=None,
-                        help="mean user reads per device-day")
-    parser.add_argument("--downtime", type=float, default=None,
-                        help="target per-device downtime fraction in [0, 1]")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="subscription rank threshold (default 0)")
+    add_campaign_arguments(parser)
     # Grid axes.
     parser.add_argument("--axis", action="append", default=[],
                         metavar="FIELD=V1,V2,...",
@@ -107,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         ))
     parser.add_argument("--seeds", type=int, nargs="+", default=None,
                         help="campaign seeds (default: 0)")
-    # Execution knobs.
-    parser.add_argument("--shards", type=int, default=1,
-                        help=(
-                            "device partitions per cell (default 1); fixed "
-                            "shards keep resumed rows bit-identical"
-                        ))
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for shards (0 = one per CPU)")
     parser.add_argument("--resume", action="store_true",
                         help="skip cells the store already holds")
     parser.add_argument("--max-cells", type=int, default=None, metavar="N",
@@ -122,30 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "stop after N newly computed cells (campaign "
                             "stays resumable)"
                         ))
-    parser.add_argument("--faults", type=str, default=None, metavar="SPEC",
-                        help=(
-                            "fault preset name "
-                            f"({', '.join(sorted(faults.PRESETS))}) or a JSON "
-                            "FaultSpec object, hashed per-device"
-                        ))
-    parser.add_argument("--dispatch", choices=["batch", "scalar"],
-                        default="batch",
-                        help=(
-                            "event dispatch mode: columnar batched shards "
-                            "(default) or the scalar per-event oracle"
-                        ))
-    # Output.
-    parser.add_argument("--format", choices=["text", "json"], default="text",
-                        help="summary format (default: text)")
     parser.add_argument("--dump-rows", action="store_true",
                         help=(
                             "emit the campaign's rows as sorted canonical "
                             "JSONL instead of the Pareto summary"
                         ))
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write the summary to this file instead of stdout")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress lines on stderr")
     return parser
 
 
@@ -178,25 +140,35 @@ def _freeze(value: object) -> object:
     return value
 
 
-def parse_axis(raw: str) -> Tuple[str, Tuple[object, ...]]:
-    """Parse one ``--axis FIELD=V1,V2,...`` flag."""
-    field_name, sep, rest = raw.partition("=")
-    field_name = field_name.strip()
-    if not sep or not field_name:
+def parse_json_values(raw: str, kind: str, metavar: str) -> Tuple[str, list]:
+    """Parse one ``NAME=V1,V2,...`` flag whose values are JSON.
+
+    ``kind`` and ``metavar`` name the flag in errors (``--axis FIELD``,
+    ``--choice NAME``).
+    """
+    name, sep, rest = raw.partition("=")
+    name = name.strip()
+    if not sep or not name:
         raise ConfigurationError(
-            f"axis must be FIELD=V1,V2,..., got {raw!r}"
+            f"{kind} must be {metavar}=V1,V2,..., got {raw!r}"
         )
     values = []
     for token in _split_axis_values(rest):
         try:
-            values.append(_freeze(json.loads(token)))
+            values.append(json.loads(token))
         except json.JSONDecodeError:
             raise ConfigurationError(
-                f"axis {field_name!r} value {token!r} is not valid JSON"
+                f"{kind} {name!r} value {token!r} is not valid JSON"
             ) from None
     if not values:
-        raise ConfigurationError(f"axis {field_name!r} has no values")
-    return field_name, tuple(values)
+        raise ConfigurationError(f"{kind} {name!r} has no values")
+    return name, values
+
+
+def parse_axis(raw: str) -> Tuple[str, Tuple[object, ...]]:
+    """Parse one ``--axis FIELD=V1,V2,...`` flag."""
+    field_name, values = parse_json_values(raw, "axis", "FIELD")
+    return field_name, tuple(_freeze(value) for value in values)
 
 
 def _base_from_grid(spec: dict) -> FleetScenarioConfig:
@@ -229,29 +201,32 @@ def _load_grid_file(path: Path) -> dict:
     return spec
 
 
+def _grid_list(spec: dict, key: str) -> list:
+    """The grid file's ``key`` entry (absent = empty); it must be a list."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigurationError(
+            f"grid file {key!r} must be a list, got {value!r}"
+        )
+    return value
+
+
 def build_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
     grid_spec = _load_grid_file(args.grid) if args.grid is not None else {}
-
-    base = _base_from_grid(grid_spec)
-    overrides: dict = {}
-    if args.devices is not None:
-        overrides["devices"] = args.devices
-    if args.days is not None:
-        overrides["duration"] = args.days * DAY
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.events_per_day is not None:
-        overrides["arrivals"] = ArrivalConfig(events_per_day=args.events_per_day)
-    if args.reads_per_day is not None:
-        overrides["reads"] = ReadConfig(reads_per_day=args.reads_per_day)
-    if args.downtime is not None:
-        overrides["outages"] = OutageConfig(downtime_fraction=args.downtime)
-    if overrides:
-        base = base.with_changes(**overrides)
+    base = scenario_overrides(args, _base_from_grid(grid_spec))
 
     axes: List[Tuple[str, Tuple[object, ...]]] = []
-    for name, values in grid_spec.get("axes", []):
-        axes.append((str(name), tuple(_freeze(v) for v in values)))
+    for entry in _grid_list(grid_spec, "axes"):
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], str) and isinstance(entry[1], list)
+        ):
+            raise ConfigurationError(
+                "grid file 'axes' entries must be [field, [values...]] "
+                f"pairs, got {entry!r}"
+            )
+        name, values = entry
+        axes.append((name, tuple(_freeze(v) for v in values)))
     for raw in args.axis:
         axes.append(parse_axis(raw))
 
@@ -262,7 +237,8 @@ def build_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
         )
     elif "policies" in grid_spec:
         policies = tuple(
-            policy_variant_from_spec(entry) for entry in grid_spec["policies"]
+            policy_variant_from_spec(entry)
+            for entry in _grid_list(grid_spec, "policies")
         )
     else:
         policies = tuple(parse_policy_token(name) for name in DEFAULT_POLICIES)
@@ -270,77 +246,40 @@ def build_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
     if args.seeds is not None:
         seeds = tuple(args.seeds)
     elif "seeds" in grid_spec:
-        seeds = tuple(int(seed) for seed in grid_spec["seeds"])
+        seeds = tuple(_grid_list(grid_spec, "seeds"))
     else:
         seeds = (0,)
 
     return FleetSweepConfig(
-        base=base, policies=policies, seeds=seeds, axes=tuple(axes)
+        base=base, policies=policies, seeds=seeds, axes=tuple(axes),
+        faults=args.faults,
     )
 
 
-def _emit(text: str, output: Optional[Path]) -> None:
-    if output is None:
-        print(text)
-        return
-    try:
-        output.write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write output to {output}: {exc}") from exc
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.devices is not None and args.devices < 1:
-        parser.error("--devices must be >= 1")
-    if args.days is not None and args.days <= 0:
-        parser.error("--days must be positive")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one per CPU)")
+def _checked_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
     if args.max_cells is not None and args.max_cells < 1:
-        parser.error("--max-cells must be >= 1")
+        raise ConfigurationError("--max-cells must be >= 1")
+    config = build_sweep_config(args)
+    config.validate()
+    return config
 
-    fault_spec = None
-    if args.faults is not None:
-        try:
-            fault_spec = faults.FaultSpec.parse(args.faults)
-        except ConfigurationError as error:
-            parser.error(f"--faults: {error}")
-    faults.configure(fault_spec)
-    obs.configure(None)
 
-    try:
-        config = build_sweep_config(args)
-        config.validate()
-    except ConfigurationError as error:
-        parser.error(str(error))
-
+def _run(args: argparse.Namespace, config: FleetSweepConfig) -> str:
     progress = None
     if not args.quiet:
         progress = lambda line: print(f"  {line}", file=sys.stderr)
 
     started = time.time()
-    try:
-        with SweepStore(args.store) as store:
-            outcome = run_fleet_sweep(
-                config,
-                store,
-                shards=args.shards,
-                jobs=args.jobs,
-                resume=args.resume,
-                max_cells=args.max_cells,
-                use_batch=args.dispatch == "batch",
-                progress=progress,
-            )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ExportError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    with SweepStore(args.store) as store:
+        outcome = run_fleet_sweep(
+            config,
+            store,
+            shards=args.shards,
+            jobs=args.jobs,
+            resume=args.resume,
+            max_cells=args.max_cells,
+            progress=progress,
+        )
     elapsed = time.time() - started
 
     if not args.quiet:
@@ -352,19 +291,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.dump_rows:
-        text = dump_rows(outcome.rows)
-    else:
-        summaries = summarize_pareto(outcome.config, outcome.rows)
-        if args.format == "json":
-            text = render_summary_json(summaries)
-        else:
-            text = render_summary_text(summaries)
-    try:
-        _emit(text, args.output)
-    except ExportError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
+        return dump_rows(outcome.rows)
+    summaries = summarize_pareto(outcome.config, outcome.rows)
+    if args.format == "json":
+        return render_summary_json(summaries)
+    return render_summary_text(summaries)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args, config = parse_campaign_args(
+        build_parser(), argv, _checked_sweep_config
+    )
+    return run_and_emit(args, lambda: _run(args, config))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,8 +32,13 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import faults, obs
-from repro.errors import ConfigurationError, ExportError
+from repro.errors import ConfigurationError
+from repro.experiments.fleet_cli import (
+    add_campaign_arguments,
+    parse_campaign_args,
+    run_and_emit,
+    scenario_overrides,
+)
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import SweepStore, dump_rows
 from repro.fleet.sweep import SWEEP_POLICY_PRESETS
@@ -48,11 +53,7 @@ from repro.fleet.tune import (
     run_fleet_tune,
     trajectory_jsonl,
 )
-from repro.experiments.fleet_sweep_cli import _split_axis_values
-from repro.units import DAY
-from repro.workload.arrivals import ArrivalConfig
-from repro.workload.outages import OutageConfig
-from repro.workload.reads import ReadConfig
+from repro.experiments.fleet_sweep_cli import parse_json_values
 
 #: Space used when no --param/--int-param/--choice flags are given: the
 #: unified policy's initial prefetch limit and moving-average window.
@@ -77,25 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", action="store_true",
                         help=(
                             "skip the search; diff this store's best-known "
-                            "variants against --baseline"
+                            "variants against --baseline (--store must exist)"
                         ))
     parser.add_argument("--baseline", type=Path, default=None, metavar="PATH",
-                        help="baseline store for --report")
+                        help="baseline store for --report (must exist)")
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="exit 1 when --report finds a regressed family")
-    # Base scenario knobs (mirror the sweep CLI).
-    parser.add_argument("--devices", type=int, default=None,
-                        help="fleet size (default 1000)")
-    parser.add_argument("--days", type=float, default=None,
-                        help="virtual run length in days (default 1)")
-    parser.add_argument("--events-per-day", type=float, default=None,
-                        help="mean notification arrivals per device-day")
-    parser.add_argument("--reads-per-day", type=float, default=None,
-                        help="mean user reads per device-day")
-    parser.add_argument("--downtime", type=float, default=None,
-                        help="target per-device downtime fraction in [0, 1]")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="subscription rank threshold (default 0)")
+    add_campaign_arguments(parser)
     # Parameter space.
     parser.add_argument("--preset", type=str, default="unified",
                         choices=sorted(SWEEP_POLICY_PRESETS) + ["buffer"],
@@ -148,14 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                         ))
     parser.add_argument("--search-seed", type=int, default=0,
                         help="seed of the candidate sampler (default 0)")
-    # Execution knobs.
-    parser.add_argument("--shards", type=int, default=1,
-                        help=(
-                            "device partitions per cell (default 1); fixed "
-                            "shards keep resumed trajectories bit-identical"
-                        ))
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for shards (0 = one per CPU)")
     parser.add_argument("--resume", action="store_true",
                         help="replay cells the store already holds")
     parser.add_argument("--max-evals", type=int, default=None, metavar="N",
@@ -163,21 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "stop after N newly computed cells (campaign "
                             "stays resumable)"
                         ))
-    parser.add_argument("--faults", type=str, default=None, metavar="SPEC",
-                        help=(
-                            "fault preset name "
-                            f"({', '.join(sorted(faults.PRESETS))}) or a JSON "
-                            "FaultSpec object, hashed per-device"
-                        ))
-    parser.add_argument("--dispatch", choices=["batch", "scalar"],
-                        default="batch",
-                        help=(
-                            "event dispatch mode: columnar batched shards "
-                            "(default) or the scalar per-event oracle"
-                        ))
-    # Output.
-    parser.add_argument("--format", choices=["text", "json"], default="text",
-                        help="summary format (default: text)")
     parser.add_argument("--dump-rows", action="store_true",
                         help=(
                             "emit the campaign's rows as sorted canonical "
@@ -188,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "emit the incumbent trajectory as canonical "
                             "JSONL instead of the summary"
                         ))
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write the output to this file instead of stdout")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress lines on stderr")
     return parser
 
 
@@ -221,41 +183,11 @@ def _parse_range(raw: str, *, integer: bool) -> TuneParam:
 
 def _parse_choice(raw: str) -> TuneParam:
     """Parse one ``--choice`` flag: ``NAME=V1,V2,...`` (JSON values)."""
-    name, sep, rest = raw.partition("=")
-    name = name.strip()
-    if not sep or not name:
-        raise ConfigurationError(f"choice must be NAME=V1,V2,..., got {raw!r}")
-    values = []
-    for token in _split_axis_values(rest):
-        try:
-            values.append(json.loads(token))
-        except json.JSONDecodeError:
-            raise ConfigurationError(
-                f"choice {name!r} value {token!r} is not valid JSON"
-            ) from None
-    if not values:
-        raise ConfigurationError(f"choice {name!r} has no values")
+    name, values = parse_json_values(raw, "choice", "NAME")
     return TuneParam(name=name, choices=tuple(values))
 
 
 def build_tune_config(args: argparse.Namespace) -> TuneConfig:
-    base = FleetScenarioConfig()
-    overrides: dict = {}
-    if args.devices is not None:
-        overrides["devices"] = args.devices
-    if args.days is not None:
-        overrides["duration"] = args.days * DAY
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.events_per_day is not None:
-        overrides["arrivals"] = ArrivalConfig(events_per_day=args.events_per_day)
-    if args.reads_per_day is not None:
-        overrides["reads"] = ReadConfig(reads_per_day=args.reads_per_day)
-    if args.downtime is not None:
-        overrides["outages"] = OutageConfig(downtime_fraction=args.downtime)
-    if overrides:
-        base = base.with_changes(**overrides)
-
     space: List[TuneParam] = []
     for raw in args.param:
         space.append(_parse_range(raw, integer=False))
@@ -267,7 +199,7 @@ def build_tune_config(args: argparse.Namespace) -> TuneConfig:
         space = list(DEFAULT_SPACE)
 
     return TuneConfig(
-        base=base,
+        base=scenario_overrides(args, FleetScenarioConfig()),
         space=tuple(space),
         preset=args.preset,
         objective=TuneObjective(
@@ -281,6 +213,7 @@ def build_tune_config(args: argparse.Namespace) -> TuneConfig:
         refine_shrink=args.refine_shrink,
         budget=args.budget,
         search_seed=args.search_seed,
+        faults=args.faults,
     )
 
 
@@ -353,100 +286,65 @@ def render_outcome_json(outcome: TuneOutcome) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(text: str, output: Optional[Path]) -> None:
-    if output is None:
-        print(text)
-        return
-    try:
-        output.write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write output to {output}: {exc}") from exc
+def _checked_tune_config(args: argparse.Namespace) -> Optional[TuneConfig]:
+    """The validated search config, or None in ``--report`` mode."""
+    if args.report:
+        if args.baseline is None:
+            raise ConfigurationError("--report requires --baseline")
+        return None
+    if args.baseline is not None:
+        raise ConfigurationError("--baseline only makes sense with --report")
+    if args.max_evals is not None and args.max_evals < 1:
+        raise ConfigurationError("--max-evals must be >= 1")
+    if args.dump_rows and args.trajectory:
+        raise ConfigurationError(
+            "--dump-rows and --trajectory are mutually exclusive"
+        )
+    config = build_tune_config(args)
+    config.validate()
+    return config
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    try:
+    diffs = []
+
+    def report() -> str:
+        # Opening a store creates it; a mistyped path must not pass as
+        # an empty store.
+        for path in (args.store, args.baseline):
+            if not path.exists():
+                raise ConfigurationError(f"no such store: {path}")
         with SweepStore(args.store) as store, \
                 SweepStore(args.baseline) as baseline:
-            diffs = diff_best(store.best_rows(), baseline.best_rows())
-    except (ConfigurationError, ExportError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    text = (
-        render_report_json(diffs) if args.format == "json"
-        else render_report_text(diffs)
-    )
-    try:
-        _emit(text, args.output)
-    except ExportError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+            diffs.extend(diff_best(store.best_rows(), baseline.best_rows()))
+        if args.format == "json":
+            return render_report_json(diffs)
+        return render_report_text(diffs)
+
+    rc = run_and_emit(args, report)
     regressed = any(diff.status == "regressed" for diff in diffs)
-    if regressed and args.fail_on_regression:
+    if rc == 0 and regressed and args.fail_on_regression:
         print("error: best-known variant regressed", file=sys.stderr)
         return 1
-    return 0
+    return rc
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.report:
-        if args.baseline is None:
-            parser.error("--report requires --baseline")
-        return _run_report(args)
-    if args.baseline is not None:
-        parser.error("--baseline only makes sense with --report")
-    if args.devices is not None and args.devices < 1:
-        parser.error("--devices must be >= 1")
-    if args.days is not None and args.days <= 0:
-        parser.error("--days must be positive")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one per CPU)")
-    if args.max_evals is not None and args.max_evals < 1:
-        parser.error("--max-evals must be >= 1")
-    if args.dump_rows and args.trajectory:
-        parser.error("--dump-rows and --trajectory are mutually exclusive")
-
-    fault_spec = None
-    if args.faults is not None:
-        try:
-            fault_spec = faults.FaultSpec.parse(args.faults)
-        except ConfigurationError as error:
-            parser.error(f"--faults: {error}")
-    faults.configure(fault_spec)
-    obs.configure(None)
-
-    try:
-        config = build_tune_config(args)
-        config.validate()
-    except ConfigurationError as error:
-        parser.error(str(error))
-
+def _run(args: argparse.Namespace, config: TuneConfig) -> str:
     progress = None
     if not args.quiet:
         progress = lambda line: print(f"  {line}", file=sys.stderr)
 
     started = time.time()
-    try:
-        with SweepStore(args.store) as store:
-            outcome = run_fleet_tune(
-                config,
-                store,
-                shards=args.shards,
-                jobs=args.jobs,
-                resume=args.resume,
-                max_evals=args.max_evals,
-                use_batch=args.dispatch == "batch",
-                progress=progress,
-            )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ExportError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    with SweepStore(args.store) as store:
+        outcome = run_fleet_tune(
+            config,
+            store,
+            shards=args.shards,
+            jobs=args.jobs,
+            resume=args.resume,
+            max_evals=args.max_evals,
+            progress=progress,
+        )
     elapsed = time.time() - started
 
     if not args.quiet:
@@ -458,19 +356,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.dump_rows:
-        text = dump_rows(outcome.rows)
-    elif args.trajectory:
-        text = trajectory_jsonl(outcome.trajectory)
-    elif args.format == "json":
-        text = render_outcome_json(outcome)
-    else:
-        text = render_outcome_text(outcome)
-    try:
-        _emit(text, args.output)
-    except ExportError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
+        return dump_rows(outcome.rows)
+    if args.trajectory:
+        return trajectory_jsonl(outcome.trajectory)
+    if args.format == "json":
+        return render_outcome_json(outcome)
+    return render_outcome_text(outcome)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args, config = parse_campaign_args(
+        build_parser(), argv, _checked_tune_config
+    )
+    if config is None:
+        return _run_report(args)
+    return run_and_emit(args, lambda: _run(args, config))
 
 
 if __name__ == "__main__":  # pragma: no cover

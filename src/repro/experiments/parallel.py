@@ -404,11 +404,8 @@ def run_fleet_policy_batch(
     documented float reassociation.
 
     ``use_batch`` selects between the columnar batched dispatcher and
-    the scalar per-event path (its differential oracle). It arrives
-    here already resolved to a bool — :func:`repro.fleet.runner
-    .run_fleet` and :func:`repro.fleet.sweep.run_fleet_sweep` apply the
-    ``repro.fleet.dispatch`` default — so workers inherit the parent's
-    decision rather than consulting their own process-local flag.
+    the scalar per-event path (its differential oracle); it travels to
+    workers inside each task.
 
     Fleet imports stay inside the function: :mod:`repro.fleet.runner`
     imports this module at import time, so importing it here at module

@@ -12,6 +12,8 @@ offsets, and per-device outage severity.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -21,6 +23,23 @@ from repro.workload.arrivals import ArrivalConfig
 from repro.workload.outages import OutageConfig
 from repro.workload.ranks import RankChangeConfig
 from repro.workload.reads import ReadConfig
+
+
+_INTEGER_FIELDS = ("devices", "seed")
+_NUMBER_FIELDS = (
+    "duration", "threshold", "rate_sigma", "read_rate_sigma",
+    "downtime_sigma", "wake_hour_spread",
+)
+_NESTED_FIELDS = (
+    ("arrivals", ArrivalConfig),
+    ("reads", ReadConfig),
+    ("outages", OutageConfig),
+    ("rank_changes", RankChangeConfig),
+)
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -59,6 +78,7 @@ class FleetScenarioConfig:
     wake_hour_spread: float = 3.0
 
     def validate(self) -> None:
+        self._validate_types()
         if self.devices < 1:
             raise ConfigurationError(
                 f"devices must be at least 1, got {self.devices}"
@@ -88,6 +108,44 @@ class FleetScenarioConfig:
             if limit < 1:
                 raise ConfigurationError(
                     f"volume limits must be at least 1, got {limit}"
+                )
+
+    def _validate_types(self) -> None:
+        """Reject field values of the wrong type.
+
+        Sweep grid files and ``--axis`` flags set fields from JSON, so
+        a string, a float device count or a boolean threshold must be a
+        typed error here, not a TypeError deeper down or a bool read
+        as 0/1.
+        """
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
+        if not isinstance(self.volume_limits, tuple) or not all(
+            _is_integer(limit) for limit in self.volume_limits
+        ):
+            raise ConfigurationError(
+                f"volume_limits must be a list of integers, got "
+                f"{self.volume_limits!r}"
+            )
+        for name, kind in _NESTED_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be of type {kind.__name__}, got {value!r}"
                 )
 
     def with_changes(self, **changes: object) -> "FleetScenarioConfig":

@@ -37,7 +37,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.experiments import parallel
 from repro.faults import FaultPlan, FaultSpec
-from repro.fleet import dispatch
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.workload import FleetWorkload, build_fleet_workload
@@ -114,7 +113,7 @@ def _execute_shard(
     policy: PolicyConfig,
     fault_spec: Optional[FaultSpec] = None,
     link_latency: float = 0.0,
-    use_batch: Union[None, bool, str] = None,
+    use_batch: bool = True,
 ) -> FleetAccumulator:
     """Run one shard's devices on one simulator; fold into an accumulator.
 
@@ -125,9 +124,9 @@ def _execute_shard(
     statistics are identical whether it runs here or through the
     single-device runner.
 
-    ``use_batch`` picks the dispatch mode (:mod:`repro.fleet.dispatch`):
-    the columnar batched fast path (the default) or the scalar
-    per-callback oracle. Both produce bit-identical integer metrics.
+    ``use_batch`` picks the columnar batched fast path (the default) or
+    the scalar per-callback oracle the differential tests check it
+    against. Both produce bit-identical integer metrics.
     """
     config = workload.config
     spec = fault_spec if fault_spec is not None else faults_mod.active_spec()
@@ -138,8 +137,7 @@ def _execute_shard(
 
     with _bulk_allocation():
         return _execute_shard_inner(
-            workload, policy, spec, link_latency, recorder, auditor,
-            dispatch.resolve(use_batch),
+            workload, policy, spec, link_latency, recorder, auditor, use_batch
         )
 
 
@@ -429,8 +427,6 @@ def _execute_shard_from_shm(
     A vanished segment (parent unlinked early) degrades to a rebuild:
     generation is deterministic in the config, so ``build_fleet_workload
     (config).shard(lo, hi)`` reproduces the same columns byte-for-byte.
-    ``use_batch`` arrives resolved in the parent — the worker process
-    must not consult its own (default-initialized) dispatch flag.
     """
     packed = trace_shm.load(key)
     if packed is not None:
@@ -449,7 +445,7 @@ def run_fleet(
     faults: Optional[FaultSpec] = None,
     link_latency: float = 0.0,
     workload: Optional[FleetWorkload] = None,
-    use_batch: Union[None, bool, str] = None,
+    use_batch: bool = True,
 ) -> FleetResult:
     """Run a whole fleet campaign; results invariant to ``(shards, jobs)``.
 
@@ -461,8 +457,7 @@ def run_fleet(
     process-wide spec (the CLI's ``--faults``). Pass ``workload`` to
     reuse an already-built :func:`build_fleet_workload` result (it must
     match ``config``). ``use_batch`` selects batched (default) or
-    scalar shard dispatch (:mod:`repro.fleet.dispatch`); both produce
-    bit-identical integer metrics.
+    scalar shard dispatch; both produce bit-identical integer metrics.
     """
     config.validate()
     if policy is None:
@@ -479,7 +474,7 @@ def run_fleet(
         jobs=jobs,
         fault_spec=spec,
         link_latency=link_latency,
-        use_batch=dispatch.resolve(use_batch),
+        use_batch=use_batch,
     )
     return FleetResult(
         config=config,

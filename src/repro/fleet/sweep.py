@@ -49,7 +49,6 @@ from repro import faults as faults_mod
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultSpec
-from repro.fleet import dispatch
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import (
     SweepRow,
@@ -230,6 +229,11 @@ class FleetSweepConfig:
             variant.validate()
         if not self.seeds:
             raise ConfigurationError("sweep needs at least one seed")
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ConfigurationError(
+                    f"sweep seeds must be integers, got {seed!r}"
+                )
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("sweep seeds must be unique")
         seen_axes = set()
@@ -335,8 +339,6 @@ def run_fleet_sweep(
     jobs: int = 1,
     resume: bool = False,
     max_cells: Optional[int] = None,
-    use_batch: object = None,
-    link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepOutcome:
     """Run (or resume) a sweep campaign into ``store``.
@@ -360,7 +362,6 @@ def run_fleet_sweep(
             config = replace(config, faults=ambient)
     if max_cells is not None and max_cells < 1:
         raise ConfigurationError(f"max_cells must be >= 1, got {max_cells}")
-    use_batch_resolved = dispatch.resolve(use_batch)
 
     campaign = config.campaign_key()
     store.register_campaign(campaign, config.spec_json())
@@ -394,8 +395,6 @@ def run_fleet_sweep(
             shards=shards,
             jobs=jobs,
             fault_spec=config.faults,
-            link_latency=link_latency,
-            use_batch=use_batch_resolved,
         )
         for cell, accumulator in zip(pending, accumulators):
             store.append(_build_row(campaign, cell, accumulator))

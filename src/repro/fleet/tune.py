@@ -77,7 +77,6 @@ from repro import faults as faults_mod
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultSpec
-from repro.fleet import dispatch
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import (
     BestRow,
@@ -676,8 +675,6 @@ def run_fleet_tune(
     jobs: int = 1,
     resume: bool = False,
     max_evals: Optional[int] = None,
-    use_batch: object = None,
-    link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> TuneOutcome:
     """Run (or resume) an auto-tuning campaign into ``store``.
@@ -699,7 +696,6 @@ def run_fleet_tune(
             config = replace(config, faults=ambient)
     if max_evals is not None and max_evals < 1:
         raise ConfigurationError(f"max_evals must be >= 1, got {max_evals}")
-    use_batch_resolved = dispatch.resolve(use_batch)
 
     campaign = config.campaign_key()
     store.register_campaign(campaign, config.spec_json())
@@ -735,8 +731,6 @@ def run_fleet_tune(
             shards=shards,
             jobs=jobs,
             fault_spec=config.faults,
-            link_latency=link_latency,
-            use_batch=use_batch_resolved,
         )
         row = SweepRow(
             cell_key=key,

@@ -4,15 +4,16 @@ import json
 
 import pytest
 
+from repro import faults
 from repro.experiments import cli as main_cli
 from repro.experiments import fleet_cli
 
 
 @pytest.fixture(autouse=True)
 def _reset_process_state():
-    """The CLI configures process-wide faults/obs; leave them clean."""
+    """Leave process-wide faults/obs clean whatever a test configures."""
     yield
-    from repro import faults, obs
+    from repro import obs
 
     faults.configure(None)
     obs.configure(None)
@@ -58,7 +59,17 @@ class TestFleetCli:
         rc = fleet_cli.main(["--devices", "10", "--audit", "--quiet"])
         assert rc == 0
 
-    def test_dispatch_from_main_cli(self, capsys):
+    def test_buffer_policy_takes_its_limit(self, capsys):
+        rc = fleet_cli.main(["--devices", "8", "--policy", "buffer:4", "--quiet"])
+        assert rc == 0
+        assert "devices             8" in capsys.readouterr().out
+
+    def test_faults_flag_sets_no_process_state(self, capsys):
+        rc = fleet_cli.main(["--devices", "8", "--faults", "lossy", "--quiet"])
+        assert rc == 0
+        assert faults.active_spec() is None
+
+    def test_routed_from_main_cli(self, capsys):
         rc = main_cli.main(["fleet", "--devices", "4", "--quiet"])
         assert rc == 0
         assert "devices             4" in capsys.readouterr().out
@@ -81,6 +92,8 @@ class TestFleetCli:
             ["--jobs", "-1"],
             ["--faults", "no-such-preset"],
             ["--audit", "0"],
+            ["--policy", "no-such-policy"],
+            ["--policy", "buffer"],
         ],
     )
     def test_rejects_bad_flags(self, argv):

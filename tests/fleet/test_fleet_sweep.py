@@ -24,10 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments import fleet_cli, fleet_sweep_cli
 from repro.experiments import cli as main_cli
 from repro.experiments.parallel import run_fleet_policy_batch, run_fleet_shards
+from repro.faults import FaultSpec
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import (
     STORE_FORMAT_VERSION,
@@ -51,9 +53,9 @@ from repro.proxy.policies import PolicyConfig
 
 @pytest.fixture(autouse=True)
 def _reset_process_state():
-    """CLIs configure process-wide faults/obs; leave them clean."""
+    """Leave process-wide faults/obs clean whatever a test configures."""
     yield
-    from repro import faults, obs
+    from repro import obs
 
     faults.configure(None)
     obs.configure(None)
@@ -567,7 +569,7 @@ class TestSweepCli:
         err = capsys.readouterr().err
         assert "error:" in err and "--resume" in err
 
-    def test_dispatch_from_fleet_cli(self, tmp_path, capsys):
+    def test_routed_from_fleet_cli(self, tmp_path, capsys):
         rc = fleet_cli.main(
             ["sweep", "--store", str(tmp_path / "s.sqlite"),
              "--devices", "8", "--policies", "online", "--quiet"]
@@ -575,13 +577,73 @@ class TestSweepCli:
         assert rc == 0
         assert "base scenario" in capsys.readouterr().out
 
-    def test_dispatch_from_main_cli(self, tmp_path, capsys):
+    def test_routed_from_main_cli(self, tmp_path, capsys):
         rc = main_cli.main(
             ["fleet", "sweep", "--store", str(tmp_path / "s.sqlite"),
              "--devices", "8", "--policies", "online", "--quiet"]
         )
         assert rc == 0
         assert "base scenario" in capsys.readouterr().out
+
+    def test_faults_flag_sets_no_process_state(self, tmp_path, capsys):
+        rc = fleet_sweep_cli.main(
+            self._argv(tmp_path / "s.sqlite", ["--faults", "lossy"])
+        )
+        assert rc == 0
+        assert faults.active_spec() is None
+
+    def test_faults_flag_keys_cells_like_explicit_spec(self, tmp_path, capsys):
+        rc = fleet_sweep_cli.main(
+            self._argv(tmp_path / "cli.sqlite", ["--faults", "lossy", "--dump-rows"])
+        )
+        assert rc == 0
+        config = FleetSweepConfig(
+            base=FleetScenarioConfig(devices=12),
+            policies=(parse_policy_token("online"), parse_policy_token("unified")),
+            seeds=(0, 1),
+            axes=(("devices", (12, 24)),),
+            faults=FaultSpec.parse("lossy"),
+        )
+        with SweepStore(tmp_path / "api.sqlite") as store:
+            outcome = run_fleet_sweep(config, store)
+        assert capsys.readouterr().out == dump_rows(outcome.rows) + "\n"
+
+    @pytest.mark.parametrize(
+        "grid, axis, key",
+        [
+            ({"axes": [["devices"]]}, None, "axes"),
+            ({"axes": 5}, None, "axes"),
+            ({"axes": [["devices", 5]]}, None, "devices"),
+            ({"seeds": ["x"]}, None, "seeds"),
+            ({"seeds": 3}, None, "seeds"),
+            ({"base": {"devices": "10"}}, None, "devices"),
+            ({"base": {"devices": 8.5}}, None, "devices"),
+            ({"policies": "online"}, None, "policies"),
+            (None, 'devices="8"', "devices"),
+            (None, "devices=8.5", "devices"),
+            (None, "threshold=true", "threshold"),
+        ],
+    )
+    def test_malformed_grid_or_axis_is_typed_error(
+        self, tmp_path, capsys, grid, axis, key
+    ):
+        store = tmp_path / "s.sqlite"
+        argv = ["--store", str(store), "--quiet"]
+        if grid is not None:
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(grid), encoding="utf-8")
+            argv += ["--grid", str(path)]
+        if axis is not None:
+            argv += ["--axis", axis]
+        args = fleet_sweep_cli.build_parser().parse_args(argv)
+        with pytest.raises(ConfigurationError, match=key):
+            fleet_sweep_cli.build_sweep_config(args).validate()
+        with pytest.raises(SystemExit) as excinfo:
+            fleet_sweep_cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+        assert not store.exists()
 
     def test_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.errors import ConfigurationError
 from repro.experiments import fleet_cli, fleet_tune_cli
 from repro.experiments import cli as main_cli
@@ -42,9 +43,9 @@ from repro.fleet.tune import (
 
 @pytest.fixture(autouse=True)
 def _reset_process_state():
-    """CLIs configure process-wide faults/obs; leave them clean."""
+    """Leave process-wide faults/obs clean whatever a test configures."""
     yield
-    from repro import faults, obs
+    from repro import obs
 
     faults.configure(None)
     obs.configure(None)
@@ -575,14 +576,37 @@ class TestTuneCli:
         assert "regressed" in captured.out
         assert "regressed" in captured.err
 
-    def test_dispatch_from_fleet_cli(self, tmp_path, capsys):
+    @pytest.mark.parametrize("missing", ["store", "baseline"])
+    def test_report_refuses_missing_store(self, tmp_path, capsys, missing):
+        existing, absent = tmp_path / "real.sqlite", tmp_path / "typo.sqlite"
+        with SweepStore(existing) as store:
+            store.record_best(_best_row(objective=0.5))
+        store, baseline = (
+            (absent, existing) if missing == "store" else (existing, absent)
+        )
+        rc = fleet_tune_cli.main([
+            "--store", str(store), "--report", "--baseline", str(baseline),
+            "--fail-on-regression",
+        ])
+        assert rc == 2
+        assert f"error: no such store: {absent}" in capsys.readouterr().err
+        assert not absent.exists()
+
+    def test_faults_flag_sets_no_process_state(self, tmp_path, capsys):
+        rc = fleet_tune_cli.main(
+            self._argv(tmp_path / "s.sqlite", ["--faults", "lossy"])
+        )
+        assert rc == 0
+        assert faults.active_spec() is None
+
+    def test_routed_from_fleet_cli(self, tmp_path, capsys):
         rc = fleet_cli.main(
             ["tune", *self._argv(tmp_path / "s.sqlite")]
         )
         assert rc == 0
         assert "incumbent:" in capsys.readouterr().out
 
-    def test_dispatch_from_main_cli(self, tmp_path, capsys):
+    def test_routed_from_main_cli(self, tmp_path, capsys):
         rc = main_cli.main(
             ["fleet", "tune", *self._argv(tmp_path / "s.sqlite")]
         )
